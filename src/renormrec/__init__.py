@@ -12,7 +12,7 @@ assembled solution against exact iteration of the original recurrence.
 
 from .amplitudes import Amplitude, AmpPoly
 from .cases import (CASE_REGISTRY, BoundaryLayer, HtrCubic, HtrDomainWall,
-                    Illustration, ManifoldResult, Reduction, VanDerPol, build,
+                    Illustration, ManifoldResult, Reduction, VanDerPol,
                     case_from_config, case_to_config, published_answer,
                     reduction_pipeline)
 from .lindiff import (LinearRecurrence, NearResonanceWarning,
@@ -27,7 +27,7 @@ from .renorm import (CollectedSeries, GlobalSolution, PerturbationSolution,
                      htr_expand, perturb_expand, residual_scan, run_pipeline,
                      solve_renorm)
 from .scalars import QQi, as_scalar, exact_sqrt, scalar_eq
-from .seqalg import ExpBinomSeq, delta, make_term, product, reanchor, shift, zero_seq
+from .seqalg import ExpBinomSeq, make_term, zero_seq
 from .verify import (VerificationReport, case_report, compare, iterate_exact,
                      ladder_report, manifold_distance, order_fit)
 

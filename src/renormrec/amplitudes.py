@@ -69,11 +69,6 @@ class AmpPoly:
             raise ValueError(f"{self} is not constant")
         return self._terms.get((), as_scalar(0))
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_mono_degree(m) for m in self._terms)
-
     def symbols(self) -> set:
         return {name for m in self._terms for name, _ in m}
 

@@ -24,7 +24,10 @@ Six families:
 from __future__ import annotations
 
 import cmath
+import collections.abc
+import functools
 import math
+import typing
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -40,18 +43,101 @@ from .seqalg import ExpBinomSeq, const_seq
 DIVERGENCE_LIMIT = 1e6
 
 
-def _num(x) -> float:
-    return float(x)
+def _exact(value):
+    """Exact config value: rationals, and rational strings such as "1/25",
+    become Fractions; floats stay floats."""
+    return Fraction(value) if isinstance(value, (str, int, Fraction)) else value
 
 
-def _check_small(name: str, value) -> None:
-    v = Fraction(value) if not isinstance(value, float) else value
-    if not (0 < v <= Fraction(1, 2)):
-        raise ValueError(f"{name} must lie in (0, 1/2], got {value}")
+#: config coercion by declared field type; ``object`` marks an exact field
+_COERCE = {object: _exact, int: int, float: float, str: str, complex: complex,
+           Optional[float]: lambda v: None if v is None else float(v)}
 
 
-def _ceil_inv(x) -> int:
-    return int(math.ceil(1 / float(x)))
+@functools.lru_cache(maxsize=None)
+def _config_types(cls) -> Dict[str, object]:
+    """Declared type of each config field of a case class; a config field is
+    any field that is not a callable."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)
+            if typing.get_origin(hints[f.name]) is not collections.abc.Callable}
+
+
+def _coerced(cls, params: Dict) -> Dict:
+    """``params`` as config values of ``cls``, each coerced by its field type."""
+    types = _config_types(cls)
+    bad = set(params) - set(types)
+    if bad:
+        raise ValueError(f"unknown parameters for {cls.name}: {sorted(bad)}")
+    return {k: _COERCE[types[k]](v) for k, v in params.items()}
+
+
+class Case:
+    """Base of the case descriptors (frozen dataclasses).
+
+    A case defines ``name``, its dataclass fields (the config keys), the
+    oracle ``exact_trajectory`` and ``original_residual``, and for the mode
+    engine ``base_recurrence``, ``forcing`` and ``name_for_mode``.  The base
+    supplies the rest from ``ladder_param``, the field swept along ladders:
+    the small parameter, the window [0, ceil(1/param)], config coercion and
+    report parameters by field type, and empty engine hooks.
+    """
+
+    family = "tr"
+    ladder_param = "epsilon"
+    default_closure = "linear"
+
+    def __post_init__(self):
+        value = getattr(self, self.ladder_param)
+        v = Fraction(value) if not isinstance(value, float) else value
+        if not (0 < v <= Fraction(1, 2)):
+            raise ValueError(f"{self.ladder_param} must lie in (0, 1/2], "
+                             f"got {value}")
+
+    def params(self) -> Dict[str, object]:
+        """Report parameters: exact fields as floats, complex fields split
+        into ``_re`` and ``_im``, the other config fields as they are."""
+        out: Dict[str, object] = {}
+        for key, kind in _config_types(type(self)).items():
+            v = getattr(self, key)
+            if kind is object:
+                out[key] = float(v)
+            elif kind is complex:
+                out[key + "_re"], out[key + "_im"] = v.real, v.imag
+            else:
+                out[key] = v
+        return out
+
+    def with_params(self, **params) -> "Case":
+        """This case with config parameters replaced (coerced by field type)."""
+        return replace(self, **_coerced(type(self), params))
+
+    def small_parameter_value(self):
+        return getattr(self, self.ladder_param)
+
+    def window(self) -> int:
+        return int(math.ceil(1 / float(getattr(self, self.ladder_param))))
+
+    def check_window(self, hi: int) -> int:
+        """``hi`` as the end of a comparison window [0, hi]."""
+        if hi < 0:
+            raise ValueError(f"window end must be >= 0, got {hi}")
+        return hi
+
+    def with_small_param(self, v) -> "Case":
+        return self.with_params(**{self.ladder_param: v})
+
+    def conjugate_links(self) -> Dict[str, str]:
+        return {}
+
+    def extra_amplitudes(self, roots) -> Tuple[Amplitude, ...]:
+        return ()
+
+    def amplitude_initials(self) -> Optional[Dict[str, object]]:
+        return None
+
+    def boundary_conditions(self) -> Optional[List[Tuple[int, object]]]:
+        return None
 
 
 class ClosedAnswer:
@@ -73,7 +159,7 @@ class ClosedAnswer:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Illustration:
+class Illustration(Case):
     """y(n+2) + eps y(n+1) + y(n) = 0."""
 
     epsilon: object = Fraction(1, 10)
@@ -81,25 +167,6 @@ class Illustration:
     init1: object = Fraction(0)
 
     name = "illustration"
-    family = "tr"
-    ladder_param = "epsilon"
-    default_closure = "linear"
-
-    def __post_init__(self):
-        _check_small("epsilon", self.epsilon)
-
-    def params(self) -> Dict[str, float]:
-        return {"epsilon": _num(self.epsilon),
-                "init0": _num(self.init0), "init1": _num(self.init1)}
-
-    def small_parameter_value(self):
-        return self.epsilon
-
-    def window(self) -> int:
-        return _ceil_inv(self.epsilon)
-
-    def with_small_param(self, v) -> "Illustration":
-        return replace(self, epsilon=v)
 
     def base_recurrence(self) -> LinearRecurrence:
         return LinearRecurrence([1, 0, 1])
@@ -113,12 +180,6 @@ class Illustration:
 
     def conjugate_links(self) -> Dict[str, str]:
         return {"A": "B", "B": "A"}
-
-    def extra_amplitudes(self, roots) -> Tuple[Amplitude, ...]:
-        return ()
-
-    def amplitude_initials(self) -> Optional[Dict[str, object]]:
-        return None
 
     def boundary_conditions(self) -> Optional[List[Tuple[int, object]]]:
         return [(0, self.init0), (1, self.init1)]
@@ -164,7 +225,7 @@ class Illustration:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VanDerPol:
+class VanDerPol(Case):
     """y(n+2) - 2cos(theta) y(n+1) + y(n) = eps (1-y(n+1)^2)(y(n+2)-y(n))."""
 
     theta: float = math.pi / 5
@@ -173,11 +234,9 @@ class VanDerPol:
     amp0: complex = 0.005 + 0j
 
     name = "van-der-pol"
-    family = "tr"
-    ladder_param = "epsilon"
 
     def __post_init__(self):
-        _check_small("epsilon", self.epsilon)
+        super().__post_init__()
         if not 0 < self.theta < math.pi:
             raise ValueError("theta must lie in (0, pi)")
         if abs(cmath.exp(2j * self.theta) - 1) < 0.1:
@@ -189,20 +248,6 @@ class VanDerPol:
     @property
     def default_closure(self) -> str:
         return self.closure
-
-    def params(self) -> Dict[str, float]:
-        return {"theta": self.theta, "epsilon": _num(self.epsilon),
-                "amp0_re": self.amp0.real, "amp0_im": self.amp0.imag,
-                "closure": self.closure}
-
-    def small_parameter_value(self):
-        return self.epsilon
-
-    def window(self) -> int:
-        return _ceil_inv(self.epsilon)
-
-    def with_small_param(self, v) -> "VanDerPol":
-        return replace(self, epsilon=v)
 
     def base_recurrence(self) -> LinearRecurrence:
         return LinearRecurrence([1.0, -2.0 * math.cos(self.theta), 1.0])
@@ -222,14 +267,8 @@ class VanDerPol:
     def conjugate_links(self) -> Dict[str, str]:
         return {"A": "B", "B": "A"}
 
-    def extra_amplitudes(self, roots) -> Tuple[Amplitude, ...]:
-        return ()
-
     def amplitude_initials(self) -> Optional[Dict[str, object]]:
         return {"A": self.amp0, "B": conj_scalar(self.amp0)}
-
-    def boundary_conditions(self) -> Optional[List[Tuple[int, object]]]:
-        return None
 
     def original_residual(self, y, n: int):
         c = 2 * math.cos(self.theta)
@@ -281,7 +320,7 @@ class VanDerPol:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BoundaryLayerInner:
+class BoundaryLayerInner(Case):
     """Inner problem of the two-point layer, anchored at the far boundary.
 
     With y(n) = eps^-n v(n) the recurrence becomes
@@ -302,9 +341,6 @@ class BoundaryLayerInner:
         """Per-step factor of the rescaling y(n) = scale^n v(n)."""
         return 1 / self.epsilon
 
-    def small_parameter_value(self):
-        return self.epsilon
-
     def base_recurrence(self) -> LinearRecurrence:
         return LinearRecurrence([1, self.a])
 
@@ -315,15 +351,9 @@ class BoundaryLayerInner:
     def name_for_mode(self, base, idx: int) -> str:
         return "C"
 
-    def conjugate_links(self) -> Dict[str, str]:
-        return {}
-
-    def extra_amplitudes(self, roots) -> Tuple[Amplitude, ...]:
-        return ()
-
 
 @dataclass(frozen=True)
-class BoundaryLayer:
+class BoundaryLayer(Case):
     """eps y(n+2) + a y(n+1) + b y(n) = 0, y(0) = alpha, y(N) = beta.
 
     The outer expansion carries the slow root -b/a; the far boundary is met
@@ -339,30 +369,23 @@ class BoundaryLayer:
     beta: object = Fraction(1, 2)
 
     name = "boundary-layer"
-    family = "tr"
-    ladder_param = "epsilon"
-    default_closure = "linear"
 
     def __post_init__(self):
-        _check_small("epsilon", self.epsilon)
+        super().__post_init__()
         if self.a == 0 or self.b == 0:
             raise ValueError("a and b must be nonzero")
         if self.N < 2:
             raise ValueError("N must be >= 2")
 
-    def params(self) -> Dict[str, float]:
-        return {"epsilon": _num(self.epsilon), "a": _num(self.a),
-                "b": _num(self.b), "N": self.N,
-                "alpha": _num(self.alpha), "beta": _num(self.beta)}
-
-    def small_parameter_value(self):
-        return self.epsilon
-
     def window(self) -> int:
         return self.N
 
-    def with_small_param(self, v) -> "BoundaryLayer":
-        return replace(self, epsilon=v)
+    def check_window(self, hi: int) -> int:
+        # the two-point solution is defined on [0, N] only
+        if hi > self.N:
+            raise ValueError(f"window end {hi} lies past the far boundary "
+                             f"N = {self.N}")
+        return super().check_window(hi)
 
     def base_recurrence(self) -> LinearRecurrence:
         # the perturbation multiplies the highest shift, so order 0 is the
@@ -375,9 +398,6 @@ class BoundaryLayer:
 
     def name_for_mode(self, base, idx: int) -> str:
         return "A"
-
-    def conjugate_links(self) -> Dict[str, str]:
-        return {}
 
     def extra_amplitudes(self, roots) -> Tuple[Amplitude, ...]:
         (root, _), = roots
@@ -487,7 +507,7 @@ def _default_f(x: float, y: float) -> float:
 
 
 @dataclass(frozen=True)
-class Reduction:
+class Reduction(Case):
     """Dx(n) = eps f(x, y),  Dy(n) = -y + g(x)."""
 
     epsilon: object = Fraction(1, 50)
@@ -499,11 +519,9 @@ class Reduction:
 
     name = "reduction"
     family = "reduction"
-    ladder_param = "epsilon"
-    default_closure = "linear"
 
     def __post_init__(self):
-        _check_small("epsilon", self.epsilon)
+        super().__post_init__()
         for x in (-1.0, -0.5, 0.1, 0.5, 1.0):
             h = 1e-5
             approx = (self.g(x + h) - self.g(x - h)) / (2 * h)
@@ -511,18 +529,9 @@ class Reduction:
                 raise ValueError(
                     f"gprime is not the derivative of g near x={x}")
 
-    def params(self) -> Dict[str, float]:
-        return {"epsilon": _num(self.epsilon), "x0": self.x0,
-                "y0": self.y0 if self.y0 is not None else self.manifold(self.x0)}
-
-    def small_parameter_value(self):
-        return self.epsilon
-
-    def window(self) -> int:
-        return _ceil_inv(self.epsilon)
-
-    def with_small_param(self, v) -> "Reduction":
-        return replace(self, epsilon=v)
+    def params(self) -> Dict[str, object]:
+        y0 = self.manifold(self.x0) if self.y0 is None else self.y0
+        return {**super().params(), "y0": y0}
 
     def manifold(self, x: float) -> float:
         """Invariant-manifold map y = g(x) - eps g'(x) f(x, g(x)).
@@ -588,7 +597,7 @@ def reduction_pipeline(case: Reduction, n_max: Optional[int] = None) -> Manifold
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HtrCubic:
+class HtrCubic(Case):
     """Dy(n) = eta (y(n) + y(n)^3), via the base operator Dy + y/2 = 0."""
 
     eta: object = Fraction(1, 100)
@@ -597,26 +606,10 @@ class HtrCubic:
     name = "htr-cubic"
     family = "htr"
     ladder_param = "eta"
-    default_closure = "linear"
-
-    def __post_init__(self):
-        _check_small("eta", self.eta)
-
-    def params(self) -> Dict[str, float]:
-        return {"eta": _num(self.eta), "B0": _num(self.B0)}
 
     def small_parameter_value(self):
         # homotopy parameter, set to 1 at assembly
         return 1
-
-    def window(self) -> int:
-        return _ceil_inv(self.eta)
-
-    def with_small_param(self, v) -> "HtrCubic":
-        return replace(self, eta=v)
-
-    def homotopy_base(self) -> str:
-        return "geometric-half"
 
     def base_recurrence(self) -> LinearRecurrence:
         # Dy + y/2 = 0  <=>  y(n+1) - y(n)/2 = 0
@@ -634,17 +627,8 @@ class HtrCubic:
     def name_for_mode(self, base, idx: int) -> str:
         return "K0"
 
-    def conjugate_links(self) -> Dict[str, str]:
-        return {}
-
-    def extra_amplitudes(self, roots) -> Tuple[Amplitude, ...]:
-        return ()
-
     def amplitude_initials(self) -> Optional[Dict[str, object]]:
         return {"K0": self.B0}
-
-    def boundary_conditions(self) -> Optional[List[Tuple[int, object]]]:
-        return None
 
     def original_residual(self, y, n: int):
         return y(n + 1) - y(n) - self.eta * (y(n) + y(n) ** 3)
@@ -668,7 +652,7 @@ class HtrCubic:
 
 
 @dataclass(frozen=True)
-class HtrDomainWall:
+class HtrDomainWall(Case):
     """y(n+2) - 2y(n+1) + y(n) = D (y(n) - y(n)^3), y(0)=1, y(inf)=0.
 
     The homotopy base operator is the first-order logistic-kernel recurrence
@@ -684,27 +668,16 @@ class HtrDomainWall:
     name = "htr-domain-wall"
     family = "htr-map"
     ladder_param = "lam"
-    default_closure = "linear"
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
 
-    def params(self) -> Dict[str, float]:
-        return {"D": _num(self.D), "lam": self.lam, "k": _num(self.k),
-                "n_max": self.horizon()}
-
-    def small_parameter_value(self):
-        return 1
-
-    def window(self) -> int:
-        return _ceil_inv(self.lam)
+    def params(self) -> Dict[str, object]:
+        return {**super().params(), "n_max": self.horizon()}
 
     def horizon(self) -> int:
         return self.n_max if self.n_max else int(math.ceil(25 / self.lam))
-
-    def with_small_param(self, v) -> "HtrDomainWall":
-        return replace(self, lam=float(v))
 
     def homotopy_base(self) -> str:
         return "logistic-kernel"
@@ -718,13 +691,6 @@ class HtrDomainWall:
     def registered_update_rate(self):
         """Closed renormalization update Delta A = k (1 - D) A."""
         return Fraction(self.k) * (1 - Fraction(self.D))
-
-    def first_order_drive(self, A: float, m: int) -> float:
-        """k * N(y0)(m) with y0 = A * kernel: the coefficient of the order-1
-        secular term before any closure."""
-        y0 = lambda n: A * self.kernel(n)
-        return float(self.k) * (y0(m + 2) - 2 * y0(m + 1) + y0(m)
-                                - float(self.D) * (y0(m) - y0(m) ** 3))
 
     def original_residual(self, y, n: int):
         D = float(self.D)
@@ -795,34 +761,7 @@ CASE_REGISTRY = {
                 HtrCubic, HtrDomainWall)
 }
 
-#: config keys accepted per case (functions are not configurable)
-_CONFIG_FIELDS = {
-    "illustration": ("epsilon", "init0", "init1"),
-    "van-der-pol": ("theta", "epsilon", "closure", "amp0"),
-    "boundary-layer": ("epsilon", "a", "b", "N", "alpha", "beta"),
-    "reduction": ("epsilon", "x0", "y0"),
-    "htr-cubic": ("eta", "B0"),
-    "htr-domain-wall": ("D", "lam", "k", "n_max"),
-}
-
-
-def _coerce_param(key: str, value):
-    if key in ("N", "n_max"):
-        return int(value)
-    if key in ("theta", "lam", "x0", "y0"):
-        return float(value)
-    if key == "closure":
-        return str(value)
-    if key == "amp0":
-        return complex(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return value
-
-
-def case_from_config(doc: Dict) -> object:
+def case_from_config(doc: Dict) -> Case:
     """Build a case from the JSON config document {"case": ..., "params": ...}."""
     if "case" not in doc:
         raise ValueError('config document needs a "case" key')
@@ -830,29 +769,22 @@ def case_from_config(doc: Dict) -> object:
     if name not in CASE_REGISTRY:
         raise ValueError(f"unknown case {name!r}; known: "
                          f"{', '.join(sorted(CASE_REGISTRY))}")
-    params = doc.get("params", {})
-    allowed = _CONFIG_FIELDS[name]
-    bad = set(params) - set(allowed)
-    if bad:
-        raise ValueError(f"unknown parameters for {name}: {sorted(bad)}")
-    kwargs = {k: _coerce_param(k, v) for k, v in params.items()}
-    return CASE_REGISTRY[name](**kwargs)
+    cls = CASE_REGISTRY[name]
+    return cls(**_coerced(cls, doc.get("params", {})))
 
 
-def case_to_config(case) -> Dict:
+def case_to_config(case: Case) -> Dict:
     doc_params = {}
-    for f in fields(case):
-        if f.name not in _CONFIG_FIELDS[case.name]:
-            continue
-        v = getattr(case, f.name)
-        if v is None or callable(v):
+    for key in _config_types(type(case)):
+        v = getattr(case, key)
+        if v is None:
             continue
         if isinstance(v, Fraction):
-            doc_params[f.name] = str(v)
+            doc_params[key] = str(v)
         elif isinstance(v, complex):
-            doc_params[f.name] = v.real if v.imag == 0 else repr(v)
+            doc_params[key] = v.real if v.imag == 0 else repr(v)
         else:
-            doc_params[f.name] = v
+            doc_params[key] = v
     return {"case": case.name, "params": doc_params}
 
 
@@ -861,18 +793,3 @@ def published_answer(case, form: str = "power"):
     if isinstance(case, Reduction):
         return reduction_pipeline(case)
     return case.published_answer(form)
-
-
-def build(case):
-    """Oracle plus engine inputs for a case (the exact-iteration callable and
-    the structural pieces the expansion consumes)."""
-    if isinstance(case, Reduction):
-        return {"oracle": case.full_trajectory, "family": case.family}
-    out = {"oracle": case.exact_trajectory, "family": case.family}
-    if case.family in ("tr", "htr"):
-        out["recurrence"] = case.base_recurrence()
-        out["forcing"] = case.forcing
-    if case.family == "htr-map":
-        out["residual"] = case.original_residual
-        out["kernel"] = case.kernel
-    return out

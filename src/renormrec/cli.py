@@ -11,7 +11,6 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -19,9 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .cases import CASE_REGISTRY, Reduction, case_from_config, reduction_pipeline
-from .renorm import residual_scan, run_pipeline
-from .scalars import re_im
+from .cases import CASE_REGISTRY, ManifoldResult, case_from_config
 from .verify import VerificationReport, case_report, ladder_report, write_atomic
 
 EXIT_OK = 0
@@ -125,13 +122,7 @@ def _resolve_case(cfg: RunConfig):
                 f"unknown case {cfg.case_name!r}; known: "
                 + ", ".join(sorted(CASE_REGISTRY)))
         case = CASE_REGISTRY[cfg.case_name]()
-    for key, value in cfg.overrides.items():
-        if not hasattr(case, key):
-            raise ValueError(f"case {case.name} has no parameter {key!r}")
-        if isinstance(getattr(case, key), float):
-            value = float(value)
-        case = dataclasses.replace(case, **{key: value})
-    return case
+    return case.with_params(**cfg.overrides)
 
 
 def _eval_gate(gate: str, report: VerificationReport) -> bool:
@@ -149,30 +140,23 @@ def _eval_gate(gate: str, report: VerificationReport) -> bool:
     return value >= threshold if op == ">=" else value <= threshold
 
 
-def _dump_solution_doc(case, order: int, closure: Optional[str],
-                       window: int) -> Dict[str, object]:
-    doc: Dict[str, object] = {"case": case.name, "params": case.params()}
-    if isinstance(case, Reduction):
-        mr = reduction_pipeline(case, n_max=window)
-        doc["slow"] = list(mr.slow)
-        doc["manifold_samples"] = [[x, mr.manifold_map(x)]
-                                   for x, _ in mr.full]
+def _dump_solution_doc(report: VerificationReport) -> Dict[str, object]:
+    """The solution behind ``report``, from the run that made the report."""
+    doc: Dict[str, object] = {"case": report.case, "params": report.params}
+    res = report.result
+    if isinstance(res, ManifoldResult):
+        doc["slow"] = list(res.slow)
+        doc["manifold_samples"] = [[x, res.manifold_map(x)]
+                                   for x, _ in res.full]
         return doc
-    res = run_pipeline(case, order=order, closure=closure)
-    gs = res.global_solution
     if res.expansion is not None:
-        env = dict(case.amplitude_initials() or {})
-        for p in gs.parts:
+        env = dict(res.case.amplitude_initials() or {})
+        for p in res.global_solution.parts:
             env.setdefault(p.amp_name, p.flow.value(0))
         doc["orders"] = [yk.substitute(env).map_coeffs(
             lambda c: complex(c)).to_json_obj() for yk in res.expansion.orders]
-    samples = []
-    for n in range(window + 1):
-        vre, vim = re_im(gs.evaluate(n))
-        samples.append([n, vre, vim])
-    res_list, _ = residual_scan(gs, case, range(window + 1))
-    doc["samples"] = samples
-    doc["residual_scan"] = [[n, r] for n, r in enumerate(res_list)]
+    doc["samples"] = [[r[0], r[3], r[4]] for r in report.rows]
+    doc["residual_scan"] = [[r[0], r[6]] for r in report.rows]
     return doc
 
 
@@ -193,8 +177,7 @@ def run(cfg: RunConfig) -> int:
         if cfg.dump_solution:
             dump_path = re.sub(r"\.(csv|json)$", "", out_path) \
                 + ".solution.json"
-            doc = _dump_solution_doc(case, cfg.order, cfg.closure,
-                                     cfg.window or case.window())
+            doc = _dump_solution_doc(report)
             write_atomic(dump_path,
                          json.dumps(doc, sort_keys=True, indent=1) + "\n")
             written.append(dump_path)
@@ -209,7 +192,8 @@ def run(cfg: RunConfig) -> int:
                 return EXIT_GATE
             print(f"gate passed: {cfg.gate}")
         return EXIT_OK
-    except (ValueError, OSError, RuntimeError, NotImplementedError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError,
+            NotImplementedError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

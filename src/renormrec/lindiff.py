@@ -25,15 +25,13 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .amplitudes import AmpPoly
-from .scalars import (as_scalar, exact_sqrt, is_exact, scalar_is_zero,
-                      scalar_pow, sort_key, to_complex)
-from .seqalg import (BASE_MERGE_TOL, ExpBinomSeq, Term, int_binom, make_term,
-                     zero_seq)
+from .scalars import (BASE_TOL, QQi, as_scalar, exact_sqrt, is_exact,
+                      same_base, scalar_is_zero, scalar_pow, sort_key,
+                      to_complex)
+from .seqalg import ExpBinomSeq, Term, int_binom, make_term, zero_seq
 
-#: forcing bases within this distance of a characteristic root resonate
-ROOT_MATCH_TOL = BASE_MERGE_TOL
 #: band of base-root distances where secular detection is numerically fragile
-NEAR_RESONANCE_BAND = (1e-9, 1e-4)
+NEAR_RESONANCE_BAND = (BASE_TOL, 1e-4)
 
 
 class NearResonanceWarning(UserWarning):
@@ -72,13 +70,6 @@ class LinearRecurrence:
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.coeffs)
 
-    def char_eval(self, lam):
-        """Characteristic polynomial sum_j c_j lam^j."""
-        total = as_scalar(0)
-        for j, c in enumerate(self.ascending):
-            total = total + c * scalar_pow(lam, j)
-        return total
-
     def gamma(self, r, s: int):
         """gamma_s = sum_j c_j r^j C(j, s); gamma_0 is the characteristic
         polynomial at r and gamma_s vanishes for s below the multiplicity."""
@@ -97,14 +88,6 @@ class LinearRecurrence:
                 total = total + s.shift(j).scale(c)
         return total
 
-    def apply_fn(self, y, n: int):
-        """Left-hand side value at n for an arbitrary sequence callable."""
-        total = None
-        for j, c in enumerate(self.ascending):
-            v = c * y(n + j)
-            total = v if total is None else total + v
-        return total
-
 
 RootSet = Tuple[Tuple[object, int], ...]
 
@@ -113,7 +96,7 @@ def _cluster_roots(raw: List[complex]) -> RootSet:
     raw = sorted(raw, key=lambda z: (z.real, z.imag))
     groups: List[List[complex]] = []
     for z in raw:
-        if groups and abs(z - groups[-1][0]) <= ROOT_MATCH_TOL:
+        if groups and same_base(z, groups[-1][0]):
             groups[-1].append(z)
         else:
             groups.append([z])
@@ -163,20 +146,15 @@ def homogeneous_basis(roots: RootSet, m: int = 0) -> List[ExpBinomSeq]:
 def match_multiplicity(roots: RootSet, base) -> int:
     """Multiplicity of the characteristic root matching a forcing base.
 
-    Exact equality for exact scalars, distance <= 1e-9 otherwise; a distance
-    inside (1e-9, 1e-4) triggers a near-resonance warning since secular
-    detection is then numerically fragile.
+    The root matches when it is the same base (``same_base``); a float
+    distance inside ``NEAR_RESONANCE_BAND`` triggers a near-resonance warning
+    since secular detection is then numerically fragile.
     """
-    best = None
     for r, mu in roots:
-        if is_exact(r) and is_exact(base):
-            if as_scalar(r) == as_scalar(base):
-                return mu
-            continue
-        d = abs(to_complex(r) - to_complex(base))
-        if d <= ROOT_MATCH_TOL:
+        if same_base(r, base):
             return mu
-        best = d if best is None else min(best, d)
+    best = min((abs(to_complex(r) - to_complex(base)) for r, _ in roots
+                if not (is_exact(r) and is_exact(base))), default=None)
     if best is not None and NEAR_RESONANCE_BAND[0] < best < NEAR_RESONANCE_BAND[1]:
         warnings.warn(
             f"forcing base within {best:.3e} of a characteristic root; "
@@ -229,6 +207,11 @@ def particular_solution(rec: LinearRecurrence,
     return result
 
 
+def _pivot_size(x):
+    """Squared modulus, exact for Gaussian rationals (no float overflow)."""
+    return x.norm2() if isinstance(x, QQi) else abs(x) ** 2
+
+
 def linsolve(A: List[List[object]], b: List[object]) -> List[object]:
     """Dense linear solve with partial pivoting, generic over the scalar
     tower (exact arithmetic stays exact)."""
@@ -236,12 +219,8 @@ def linsolve(A: List[List[object]], b: List[object]) -> List[object]:
     M = [[as_scalar(x) for x in row] + [as_scalar(bv)]
          for row, bv in zip(A, b)]
     for col in range(n):
-        piv, pmag = None, 0.0
-        for r in range(col, n):
-            mag = abs(to_complex(M[r][col]))
-            if mag > pmag:
-                piv, pmag = r, mag
-        if piv is None or pmag == 0.0:
+        piv = max(range(col, n), key=lambda r: _pivot_size(M[r][col]))
+        if _pivot_size(M[piv][col]) == 0:
             raise SingularSystemError("singular linear system")
         M[col], M[piv] = M[piv], M[col]
         inv = as_scalar(1) / M[col][col]
@@ -301,11 +280,7 @@ def particular_solution_vc1(rec: LinearRecurrence,
     for c, s, k in forcing.terms:
         w = c / (c1 * r)
         q = s / r
-        if is_exact(q):
-            resonant = as_scalar(q) == as_scalar(1)
-        else:
-            resonant = abs(to_complex(q) - 1.0) <= ROOT_MATCH_TOL
-        if resonant:
+        if same_base(q, 1):
             # sum_{j=m}^{n-1} C(j-m,k) = C(n-m, k+1)
             out = out + make_term(w, r, m, k + 1)
         else:

@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .amplitudes import Amplitude, AmpPoly
 from .lindiff import (SingularSystemError, char_roots, homogeneous_basis,
                       linsolve, particular_solution)
-from .scalars import (as_scalar, is_exact, scalar_eq, scalar_is_zero,
+from .scalars import (as_scalar, is_exact, same_base, scalar_is_zero,
                       scalar_pow, to_complex)
 from .seqalg import ExpBinomSeq, make_term, zero_seq
 
@@ -147,12 +147,6 @@ def _as_poly(c) -> AmpPoly:
     return c if isinstance(c, AmpPoly) else AmpPoly.const(c)
 
 
-def _base_matches(b1, b2) -> bool:
-    if is_exact(b1) and is_exact(b2):
-        return as_scalar(b1) == as_scalar(b2)
-    return abs(to_complex(b1) - to_complex(b2)) <= 1e-9
-
-
 def collect_Y(sol: PerturbationSolution) -> CollectedSeries:
     """Collect per-mode values and differences of the orders at the anchor."""
     mode_bases = [a.base for a in sol.mode_amplitudes()]
@@ -172,10 +166,10 @@ def collect_Y(sol: PerturbationSolution) -> CollectedSeries:
             elif d == 1:
                 y1k[r] = y1k.get(r, AmpPoly()) + p * r
                 deg1[r] = deg1.get(r, AmpPoly()) + p
-                if k >= 1 and not any(_base_matches(r, b) for b in mode_bases):
+                if k >= 1 and not any(same_base(r, b) for b in mode_bases):
                     unmatched.append((r, k, d))
             else:
-                if k >= 1 and not any(_base_matches(r, b) for b in mode_bases):
+                if k >= 1 and not any(same_base(r, b) for b in mode_bases):
                     unmatched.append((r, k, d))
         Y0.append(y0k)
         Y1.append(y1k)
@@ -183,7 +177,7 @@ def collect_Y(sol: PerturbationSolution) -> CollectedSeries:
             for b in mode_bases:
                 hit = AmpPoly()
                 for r, p in deg1.items():
-                    if _base_matches(r, b):
+                    if same_base(r, b):
                         hit = hit + p
                 secular[b].append(hit)
     return CollectedSeries(sol, tuple(Y0), tuple(Y1),
@@ -257,7 +251,7 @@ def form_renorm_system(collected: CollectedSeries,
     for amp in sol.mode_amplitudes():
         own = ((amp.name, 1),)
         for k, poly, s in updates[amp.name]:
-            if not scalar_eq(as_scalar(s), as_scalar(1)) \
+            if not same_base(s, 1) \
                     or not (poly - poly.coefficient(own) * AmpPoly.var(amp.name)).is_zero(0.0):
                 kind = "nonlinear"
     return RenormSystem(sol.amplitudes, updates, sol.epsilon, kind, closure)
@@ -457,13 +451,6 @@ class GlobalSolution:
     def evaluate_real(self, n: int, form: Optional[str] = None) -> float:
         return to_complex(self.evaluate(n, form)).real
 
-    @property
-    def free_names(self) -> Tuple[str, ...]:
-        return tuple(p.amp_name for p in self.parts if p.flow.free)
-
-    def with_form(self, form: str) -> "GlobalSolution":
-        return replace(self, form=form)
-
 
 def assemble_global(collected: CollectedSeries, flows: Dict[str, Flow],
                     validity_scale: int, form: str = "power") -> GlobalSolution:
@@ -569,7 +556,7 @@ def residual_scan(gs: GlobalSolution, case, n_range: Sequence[int],
 # ---------------------------------------------------------------------------
 
 #: registered solvable base operators for the homotopy embedding
-HOMOTOPY_BASES = ("geometric-half", "logistic-kernel")
+HOMOTOPY_BASES = ("logistic-kernel",)
 
 
 def htr_expand(case, K: int = 1, anchor: int = 0) -> PerturbationSolution:
@@ -595,7 +582,7 @@ def htr_expand(case, K: int = 1, anchor: int = 0) -> PerturbationSolution:
     frozen: Dict[object, List[Tuple[AmpPoly, object]]] = {}
     forcing = case.forcing(1, [sol.order0])
     for c, s, d in forcing.terms:
-        if _base_matches(s, root):
+        if same_base(s, root):
             continue
         if d != 0:
             raise NotImplementedError("frozen non-resonant forcing with "

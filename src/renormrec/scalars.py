@@ -21,6 +21,8 @@ from typing import Optional, Union
 
 #: absolute tolerance for float-scalar equality
 DEFAULT_TOL = 1e-12
+#: float bases (and characteristic roots) closer than this are one base
+BASE_TOL = 1e-9
 
 _RATIONAL = (int, Fraction)
 
@@ -39,10 +41,6 @@ class QQi:
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def conjugate(self) -> "QQi":
         return QQi(self.re, -self.im)
@@ -215,10 +213,7 @@ def conj_scalar(x):
 
 def scalar_pow(x, n: int):
     """``x**n`` for integer ``n`` of either sign, staying exact when possible."""
-    x = as_scalar(x)
-    if isinstance(x, QQi):
-        return x ** n
-    return x ** n
+    return as_scalar(x) ** n
 
 
 def scalar_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -226,6 +221,12 @@ def scalar_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
     if is_exact(a) and is_exact(b):
         return as_scalar(a) == as_scalar(b)
     return abs(complex(a) - complex(b)) <= tol
+
+
+def same_base(a, b) -> bool:
+    """The one test that two bases (or roots) are the same: exact equality
+    when both are exact, else a distance within ``BASE_TOL``."""
+    return scalar_eq(a, b, BASE_TOL)
 
 
 def scalar_is_zero(x, tol: float = DEFAULT_TOL) -> bool:

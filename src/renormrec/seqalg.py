@@ -24,11 +24,8 @@ from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .amplitudes import AmpPoly
 from .scalars import (DEFAULT_TOL, as_scalar, conj_scalar, is_exact,
-                      re_im, scalar_is_zero, scalar_pow, sort_key, to_complex)
-
-#: bases closer than this merge into one term (also the root-matching
-#: tolerance of the linear solver, so resonance detection stays consistent)
-BASE_MERGE_TOL = 1e-9
+                      re_im, same_base, scalar_eq, scalar_is_zero, scalar_pow,
+                      sort_key, to_complex)
 
 
 def int_binom(a: int, k: int) -> int:
@@ -156,12 +153,12 @@ def _canonical(anchor: int, raw: Iterable[Term],
     if float_mode:
         terms = [Term(_coeff_to_float_mode(t.coeff), to_complex(t.base),
                       t.degree) for t in terms]
-        # cluster bases within the merge tolerance, deterministically
+        # merge bases that are the same base, deterministically
         bases = sorted({t.base for t in terms}, key=lambda b: (b.real, b.imag))
         rep: Dict[complex, complex] = {}
         cluster: List[complex] = []
         for b in bases:
-            if cluster and abs(b - cluster[0]) <= BASE_MERGE_TOL:
+            if cluster and same_base(b, cluster[0]):
                 cluster.append(b)
             else:
                 cluster = [b]
@@ -218,10 +215,6 @@ class ExpBinomSeq:
         for t in self.terms:
             out.setdefault(t.base, {})[t.degree] = t.coeff
         return out
-
-    @property
-    def has_symbols(self) -> bool:
-        return any(isinstance(t.coeff, AmpPoly) for t in self.terms)
 
     @property
     def is_exact_mode(self) -> bool:
@@ -378,9 +371,8 @@ class ExpBinomSeq:
             return True
         if self.anchor != other.anchor or len(self.terms) != len(other.terms):
             return False
-        from .scalars import scalar_eq
         for t1, t2 in zip(self.terms, other.terms):
-            if t1.degree != t2.degree or not scalar_eq(t1.base, t2.base):
+            if t1.degree != t2.degree or not same_base(t1.base, t2.base):
                 return False
             c1, c2 = t1.coeff, t2.coeff
             if isinstance(c1, AmpPoly) or isinstance(c2, AmpPoly):
@@ -437,7 +429,7 @@ class ExpBinomSeq:
 
 
 # ---------------------------------------------------------------------------
-# module-level constructors / operation aliases
+# module-level constructors
 # ---------------------------------------------------------------------------
 
 def make_term(c, r, m: int, k: int) -> ExpBinomSeq:
@@ -458,27 +450,3 @@ def zero_seq(m: int = 0) -> ExpBinomSeq:
 
 def const_seq(c, m: int = 0) -> ExpBinomSeq:
     return make_term(c, 1, m, 0)
-
-
-def add(s1: ExpBinomSeq, s2: ExpBinomSeq) -> ExpBinomSeq:
-    return s1 + s2
-
-
-def scale(s: ExpBinomSeq, c) -> ExpBinomSeq:
-    return s.scale(c)
-
-
-def shift(s: ExpBinomSeq, j: int) -> ExpBinomSeq:
-    return s.shift(j)
-
-
-def delta(s: ExpBinomSeq) -> ExpBinomSeq:
-    return s.delta()
-
-
-def product(s1: ExpBinomSeq, s2: ExpBinomSeq) -> ExpBinomSeq:
-    return s1.product(s2)
-
-
-def reanchor(s: ExpBinomSeq, m: int) -> ExpBinomSeq:
-    return s.reanchor(m)

@@ -8,8 +8,8 @@ over exactly this window.
 
 Reports serialize to CSV (columns: n, exact_re, exact_im, asym_re, asym_im,
 abs_err, residual) and JSON.  Runs are deterministic, so identical inputs
-produce byte-identical files; the wall time is kept on the in-memory report
-only and never serialized.
+produce byte-identical files; the wall time and the pipeline result are
+kept on the in-memory report only and never serialized.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ class VerificationReport:
     empirical_order: Optional[float] = None
     extras: Dict[str, object] = field(default_factory=dict)
     wall_time: float = 0.0
+    #: the run behind the rows: a PipelineResult, or the ManifoldResult of
+    #: the fast-slow reduction
+    result: object = field(default=None, repr=False, compare=False)
 
     def to_json_obj(self) -> Dict[str, object]:
         obj: Dict[str, object] = {
@@ -183,7 +186,7 @@ def case_report(case, order: int = 1, closure: Optional[str] = None,
                 window: Optional[int] = None) -> VerificationReport:
     """Run the full pipeline for one case and compare against the exact
     trajectory over the validity window."""
-    hi = window if window is not None else case.window()
+    hi = case.window() if window is None else case.check_window(window)
     if isinstance(case, Reduction):
         mr = reduction_pipeline(case, n_max=hi)
         dist = manifold_distance(mr)
@@ -196,7 +199,8 @@ def case_report(case, order: int = 1, closure: Optional[str] = None,
             sup = max(sup, err)
             rows.append((n, x, y, c, mr.manifold_map(c), err, dist[n]))
         return VerificationReport(case.name, case.params(), (0, hi), rows,
-                                  sup, extras={"distance_sup": max(dist)})
+                                  sup, extras={"distance_sup": max(dist)},
+                                  result=mr)
     res = run_pipeline(case, order=order, closure=closure, form=form,
                        horizon=hi)
     gs = res.global_solution
@@ -204,6 +208,7 @@ def case_report(case, order: int = 1, closure: Optional[str] = None,
     exact = iterate_exact(case, hi + lookahead)
     residuals, res_sup = residual_scan(gs, case, range(0, hi + 1))
     report = compare(gs, exact, (0, hi), case=case, residuals=residuals)
+    report.result = res
     report.extras["residual_sup"] = res_sup
     report.extras["closure"] = closure or case.default_closure
     report.extras["form"] = form

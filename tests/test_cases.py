@@ -10,7 +10,7 @@ import pytest
 
 from renormrec.cases import (CASE_REGISTRY, BoundaryLayer, HtrCubic,
                              HtrDomainWall, Illustration, Reduction,
-                             VanDerPol, build, case_from_config,
+                             VanDerPol, case_from_config,
                              case_to_config, published_answer,
                              reduction_pipeline)
 from renormrec.renorm import run_pipeline
@@ -103,15 +103,6 @@ def test_divergence_guard():
     case = HtrCubic(eta=Fraction(1, 2), B0=Fraction(3))
     with pytest.raises(RuntimeError, match="diverged"):
         case.exact_trajectory(2000)
-
-
-def test_build_exposes_oracle_and_engine_inputs():
-    out = build(Illustration())
-    assert out["family"] == "tr"
-    assert out["recurrence"].order == 2
-    assert callable(out["oracle"]) and callable(out["forcing"])
-    red = build(Reduction())
-    assert red["family"] == "reduction"
 
 
 # -- engine vs closed-form regression ---------------------------------------------
@@ -244,6 +235,35 @@ def test_config_rejects_unknown_case_and_params():
 
 def test_config_fraction_parameters():
     case = case_from_config({"case": "boundary-layer",
-                             "params": {"epsilon": "1/25", "beta": "0.25"}})
+                             "params": {"epsilon": "1/25", "beta": "0.25",
+                                        "N": "12"}})
     assert case.epsilon == Fraction(1, 25)
     assert case.beta == Fraction(1, 4)
+    assert case.N == 12 and type(case.N) is int
+    lam = HtrDomainWall().with_small_param(Fraction(1, 4)).lam
+    assert lam == 0.25 and type(lam) is float
+
+
+def _typed(params):
+    return {k: (v, type(v)) for k, v in params.items()}
+
+
+@pytest.mark.parametrize("case, expected", [
+    (Illustration(), {"epsilon": 0.1, "init0": 1.0, "init1": 0.0}),
+    (VanDerPol(), {"theta": math.pi / 5, "epsilon": 0.01,
+                   "closure": "linear", "amp0_re": 0.005, "amp0_im": 0.0}),
+    (VanDerPol(0.9, Fraction(1, 50), "full", 0.01 + 0.004j),
+     {"theta": 0.9, "epsilon": 0.02, "closure": "full", "amp0_re": 0.01,
+      "amp0_im": 0.004}),
+    (BoundaryLayer(), {"epsilon": 0.01, "a": 2.0, "b": 1.0, "N": 20,
+                       "alpha": 1.0, "beta": 0.5}),
+    (Reduction(), {"epsilon": 0.02, "x0": 0.5, "y0": 0.2525}),
+    (Reduction(Fraction(1, 40), x0=0.3, y0=None),
+     {"epsilon": 0.025, "x0": 0.3, "y0": 0.090405}),
+    (HtrCubic(), {"eta": 0.01, "B0": 0.1}),
+    (HtrDomainWall(), {"D": 1.0, "lam": 0.2, "k": 1.0, "n_max": 125}),
+], ids=lambda c: getattr(c, "name", ""))
+def test_params_pinned(case, expected):
+    # exact fields as floats, complex split into _re/_im, int/float/str kept;
+    # the reduction reports its on-manifold start, the domain wall its horizon
+    assert _typed(case.params()) == _typed(expected)

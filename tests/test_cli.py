@@ -172,6 +172,64 @@ def test_dump_solution_orders_schema(tmp_path):
             "degree"} == set(records[0])
 
 
+def test_dump_solution_covers_an_extended_full_closure_window(tmp_path):
+    # the dump reuses the report's own run, whose amplitude table covers the
+    # window override
+    out = tmp_path / "vdp.json"
+    code = run_cli("run", "--case", "van-der-pol", "--closure", "full",
+                   "--window", "150", "--dump-solution",
+                   "--out-path", str(out))
+    assert code == EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    doc = json.loads((tmp_path / "vdp.solution.json").read_text())
+    assert doc["samples"] == [[r[0], r[3], r[4]] for r in rows]
+    assert [n for n, _ in doc["residual_scan"]] == list(range(151))
+
+
+def test_dump_solution_describes_the_last_ladder_rung(tmp_path):
+    out = tmp_path / "lad.json"
+    code = run_cli("run", "--case", "illustration",
+                   "--ladder", "0.1,0.05,0.02", "--dump-solution",
+                   "--out-path", str(out))
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    doc = json.loads((tmp_path / "lad.solution.json").read_text())
+    assert doc["params"] == report["params"]
+    assert doc["params"]["epsilon"] == 0.02
+    assert doc["samples"] == [[r[0], r[3], r[4]] for r in report["rows"]]
+    assert doc["residual_scan"] == [[r[0], r[6]] for r in report["rows"]]
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error [") and err.count("\n") == 1, err
+
+
+def test_arithmetic_error_fails_cleanly(tmp_path, capsys):
+    # slow root -b/a = -100/3 raised to N = 200 leaves the float range
+    assert _run_config(tmp_path, {"a": "3", "b": "100", "N": 200}) \
+        == EXIT_ERROR
+    _assert_one_error_line(capsys)
+
+
+def test_negative_window_is_rejected(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert run_cli("run", "--case", "illustration", "--window", "-1",
+                   "--gate", "sup_error<=0", "--out-path", str(out)) \
+        == EXIT_ERROR
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["130", "200"])
+def test_boundary_layer_window_past_n_is_rejected(window, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert run_cli("run", "--case", "boundary-layer", "--window", window,
+                   "--out-path", str(out)) == EXIT_ERROR
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_config_document(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"case": "boundary-layer",

@@ -12,10 +12,10 @@ import pytest
 
 from renormrec.amplitudes import AmpPoly
 from renormrec.lindiff import (LinearRecurrence, NearResonanceWarning,
-                               char_roots, homogeneous_basis,
+                               char_roots, homogeneous_basis, linsolve,
                                match_multiplicity, particular_solution,
                                particular_solution_vc1, solve)
-from renormrec.scalars import QQi, to_complex
+from renormrec.scalars import BASE_TOL, QQi, same_base, to_complex
 from renormrec.seqalg import make_term, zero_seq
 
 I = QQi(0, 1)
@@ -112,6 +112,16 @@ def test_clean_match_and_clean_miss():
         warnings.simplefilter("error")
         assert match_multiplicity(roots, complex(0.5 + 1e-12)) == 1
         assert match_multiplicity(roots, complex(0.9)) == 0
+
+
+def test_same_base_is_exact_for_exact_operands_else_within_tolerance():
+    assert same_base(Fraction(1, 3), QQi(Fraction(1, 3)))
+    assert not same_base(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
+    assert same_base(0.5, complex(0.5 + 0.5 * BASE_TOL))
+    assert not same_base(0.5, 0.5 + 2 * BASE_TOL)
+    # an exact operand against a float compares within the tolerance
+    assert same_base(Fraction(1, 2), 0.5 + 0.5 * BASE_TOL)
+    assert not same_base(Fraction(1, 2), 0.5 + 2 * BASE_TOL)
 
 
 # -- particular solutions ----------------------------------------------------
@@ -253,3 +263,11 @@ def test_secularity_iff_resonance():
         ps = particular_solution(rec, forcing)
         has_secular = any(k >= 1 for _, _, k in ps.terms)
         assert has_secular == resonant
+
+
+def test_linsolve_pivots_exactly_on_huge_rationals():
+    # pivot sizes beyond the float range: the solve stays exact
+    big = Fraction(10) ** 400
+    x = linsolve([[big, 1], [1, big]], [1, 2])
+    det = big * big - 1
+    assert x == [QQi((big - 2) / det), QQi((2 * big - 1) / det)]
