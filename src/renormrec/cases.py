@@ -72,6 +72,15 @@ def _coerced(cls, params: Dict) -> Dict:
     return {k: _COERCE[types[k]](v) for k, v in params.items()}
 
 
+def _check_finite(case) -> None:
+    """Reject NaN and infinite float or complex config values: they would
+    iterate to NaN rows whose sup error reads 0."""
+    for key in _config_types(type(case)):
+        v = getattr(case, key)
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise ValueError(f"{key} must be finite, got {v}")
+
+
 class Case:
     """Base of the case descriptors (frozen dataclasses).
 
@@ -88,6 +97,7 @@ class Case:
     default_closure = "linear"
 
     def __post_init__(self):
+        _check_finite(self)
         value = getattr(self, self.ladder_param)
         v = Fraction(value) if not isinstance(value, float) else value
         if not (0 < v <= Fraction(1, 2)):
@@ -670,6 +680,7 @@ class HtrDomainWall(Case):
     ladder_param = "lam"
 
     def __post_init__(self):
+        _check_finite(self)
         if self.lam <= 0:
             raise ValueError("lam must be positive")
 

@@ -423,6 +423,34 @@ class Part:
     mode: ModeEval
     flow: Flow
 
+    def value(self, n: int, epsilon, form: str = "power"):
+        """eps^eps_power times the flow times the mode, at ``n``."""
+        return scalar_pow(epsilon, self.eps_power) \
+            * self.flow.value(n, form) * self.mode.value(n)
+
+    def step_ratio(self, epsilon):
+        """``value(n+1) / value(n)`` in the power form when every factor of
+        the part is exact and geometric in n, else None (float factors,
+        tabulated flows and map or layer modes)."""
+        mode, flow = self.mode, self.flow
+        exact = (isinstance(mode, PowerMode) and is_exact(mode.base)
+                 and isinstance(flow, (PowerFlow, ConstFlow))
+                 and is_exact(flow.a0) and is_exact(epsilon))
+        if not exact:
+            return None
+        if isinstance(flow, ConstFlow):
+            return as_scalar(mode.base)
+        if is_exact(flow.rate):
+            return (as_scalar(1) + flow.rate) * mode.base
+        return None
+
+
+def _total(values):
+    total = None
+    for v in values:
+        total = v if total is None else total + v
+    return as_scalar(0) if total is None else total
+
 
 @dataclass(frozen=True)
 class GlobalSolution:
@@ -439,14 +467,36 @@ class GlobalSolution:
     form: str = "power"
     conjugate_pairs: Tuple[Tuple[str, str], ...] = ()
 
+    def __post_init__(self):
+        # per-part step ratios, and the cursor (n, part values) of the last
+        # power-form call when some part steps; neither is a field, so ==,
+        # hash and replace ignore them
+        ratios = tuple(p.step_ratio(self.epsilon) for p in self.parts)
+        object.__setattr__(self, "_ratios", ratios)
+        object.__setattr__(self, "_steps",
+                           any(r is not None for r in ratios))
+        object.__setattr__(self, "_cursor", None)
+
     def evaluate(self, n: int, form: Optional[str] = None):
+        """Sum of the part values at ``n``.  Called in the power form at
+        the n after the last such call, each exact geometric part steps
+        from its last value by its ratio (exact, so the value is the same);
+        everything else is computed afresh."""
         form = form or self.form
-        total = None
-        for p in self.parts:
-            v = scalar_pow(self.epsilon, p.eps_power) \
-                * p.flow.value(n, form) * p.mode.value(n)
-            total = v if total is None else total + v
-        return as_scalar(0) if total is None else total
+        if not (self._steps and form == "power"):
+            return _total([p.value(n, self.epsilon, form)
+                           for p in self.parts])
+        cursor = self._cursor
+        if cursor is not None and cursor[0] == n - 1:
+            values = tuple(
+                p.value(n, self.epsilon) if ratio is None else last * ratio
+                for p, ratio, last in zip(self.parts, self._ratios,
+                                          cursor[1]))
+        else:
+            values = tuple(p.value(n, self.epsilon) for p in self.parts)
+        # one tuple, swapped in whole: a concurrent caller sees either cursor
+        object.__setattr__(self, "_cursor", (n, values))
+        return _total(values)
 
     def evaluate_real(self, n: int, form: Optional[str] = None) -> float:
         return to_complex(self.evaluate(n, form)).real
@@ -509,18 +559,9 @@ def apply_boundary(gs: GlobalSolution,
     A = []
     b = []
     for n, val in conditions:
-        row = [scalar_pow(gs.epsilon, p.eps_power)
-               * p.flow.value(n, gs.form) * p.mode.value(n) for p in free]
-        fixed = None
-        for p in gs.parts:
-            if p.flow.free:
-                continue
-            v = scalar_pow(gs.epsilon, p.eps_power) \
-                * p.flow.value(n, gs.form) * p.mode.value(n)
-            fixed = v if fixed is None else fixed + v
-        rhs = as_scalar(val) - (fixed if fixed is not None else as_scalar(0))
-        A.append(row)
-        b.append(rhs)
+        A.append([p.value(n, gs.epsilon, gs.form) for p in free])
+        b.append(as_scalar(val) - _total(p.value(n, gs.epsilon, gs.form)
+                                         for p in gs.parts if not p.flow.free))
     try:
         mults = linsolve(A, b)
     except SingularSystemError as exc:

@@ -213,9 +213,11 @@ def case_report(case, order: int = 1, closure: Optional[str] = None,
     report.extras["closure"] = closure or case.default_closure
     report.extras["form"] = form
     if case.name == "van-der-pol":
+        # the envelope is read off per-period maxima: it needs two periods
         period = math.ceil(2 * math.pi / case.theta)
-        report.extras["envelope_rel_dev"] = envelope_deviation(
-            exact[:hi + 1], period, case.envelope_target())
+        if hi + 1 >= 2 * period:
+            report.extras["envelope_rel_dev"] = envelope_deviation(
+                exact[:hi + 1], period, case.envelope_target())
     return report
 
 

@@ -50,6 +50,16 @@ def test_domain_wall_validation():
         HtrDomainWall(lam=0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Reduction(x0=math.nan), lambda: Reduction(y0=math.inf),
+    lambda: VanDerPol(amp0=complex(0, math.nan)),
+    lambda: HtrDomainWall(lam=math.nan),
+    lambda: Illustration(init1=-math.inf)])
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
 def test_reduction_derivative_spot_check():
     with pytest.raises(ValueError, match="derivative"):
         Reduction(gprime=lambda x: 2 * x + 0.1)

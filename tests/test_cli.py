@@ -230,6 +230,37 @@ def test_boundary_layer_window_past_n_is_rejected(window, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case,params", [
+    ("reduction", {"epsilon": "1/10", "x0": "nan"}),
+    ("reduction", {"y0": "inf"}),
+    ("van-der-pol", {"amp0": "nan"}),
+    ("htr-domain-wall", {"lam": "nan"}),
+])
+def test_non_finite_parameters_are_rejected(case, params, tmp_path, capsys):
+    # NaN rows would read sup_error = 0 and pass any sup_error gate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": case, "params": params}))
+    out = tmp_path / "rep.json"
+    assert run_cli("run", "--config", str(cfg), "--gate", "sup_error<=1e-9",
+                   "--out-path", str(out)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error [ValueError]: ") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon,has_envelope", [("0.1", False),
+                                                  ("1/50", True)])
+def test_van_der_pol_envelope_needs_two_periods(epsilon, has_envelope,
+                                                tmp_path):
+    # theta = pi/5: a period is 10 steps, and eps = 0.1 gives the window [0, 10]
+    out = tmp_path / "vdp.json"
+    assert run_cli("run", "--case", "van-der-pol", "--epsilon", epsilon,
+                   "--out-path", str(out)) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert ("envelope_rel_dev" in doc) == has_envelope
+
+
 def test_config_document(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"case": "boundary-layer",

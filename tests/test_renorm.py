@@ -8,16 +8,21 @@ to second order in the small parameter under the smooth identification.
 """
 
 import cmath
+import functools
 import math
+import operator
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from renormrec.amplitudes import Amplitude, AmpPoly
 from renormrec.cases import (BoundaryLayer, HtrCubic, HtrDomainWall,
                              Illustration, VanDerPol)
 from renormrec.renorm import (ConstFlow, GlobalSolution, MapMode, Part,
-                              PowerFlow, RenormError, RenormSystem,
+                              PowerFlow, PowerMode, RenormError, RenormSystem,
                               apply_boundary, assemble_global, collect_Y,
                               form_renorm_system, htr_expand, perturb_expand,
                               residual_scan, run_pipeline, solve_renorm)
@@ -451,3 +456,109 @@ def test_residual_scan_scales_with_epsilon_squared():
     slope = np.polyfit(np.log([e for e, _ in sups]),
                        np.log([s for _, s in sups]), 1)[0]
     assert slope >= 1.7
+
+
+# -- stepped window evaluation ---------------------------------------------------
+
+def _part_sum(gs, n, form=None):
+    """The value at n as the sum of the part values, in part order."""
+    return functools.reduce(operator.add, (
+        p.value(n, gs.epsilon, form or gs.form) for p in gs.parts))
+
+
+EXACT_CASES = {
+    "illustration": Illustration(epsilon=Fraction(1, 37), init0=Fraction(2, 3),
+                                 init1=Fraction(-1, 5)),
+    "htr-cubic": HtrCubic(eta=Fraction(1, 37), B0=Fraction(1, 5)),
+    "boundary-layer": BoundaryLayer(Fraction(1, 50), Fraction(7, 2),
+                                    Fraction(3, 2), 30, Fraction(5, 7),
+                                    Fraction(8, 9)),
+}
+FLOAT_CASES = {
+    "van-der-pol-linear": VanDerPol(closure="linear"),
+    "van-der-pol-full": VanDerPol(0.9, Fraction(1, 50), "full",
+                                  0.01 + 0.004j),
+    "htr-domain-wall": HtrDomainWall(lam=0.3),
+    # exact bases and rates, float amplitudes: these parts must not step
+    "illustration-float-data": Illustration(epsilon=Fraction(1, 37),
+                                            init0=0.3, init1=-0.7),
+    "htr-cubic-float-data": HtrCubic(eta=Fraction(1, 37), B0=0.2),
+}
+
+
+def _orders(window):
+    up = list(range(window + 1))
+    repeated = [n for n in up for _ in range(2)]
+    return {"ascending": up, "descending": up[::-1], "repeated": repeated,
+            "restarts": up[:5] + up[3:9] + [0] + up[1:]}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_stepped_evaluation_is_exactly_the_part_sum(name):
+    case = EXACT_CASES[name]
+    gs = run_pipeline(case).global_solution
+    # the exact cases have geometric parts, so ascending calls do step
+    assert any(p.step_ratio(gs.epsilon) is not None for p in gs.parts)
+    for order in _orders(case.window()).values():
+        for n in order:
+            assert gs.evaluate(n) == _part_sum(gs, n)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CASES))
+def test_float_evaluation_is_bitwise_the_part_sum(name):
+    case = FLOAT_CASES[name]
+    gs = run_pipeline(case).global_solution
+    for order in _orders(case.window()).values():
+        for n in order:
+            assert repr(gs.evaluate(n)) == repr(_part_sum(gs, n))
+
+
+def test_exact_part_under_float_epsilon_does_not_step():
+    part = Part("A", 1, PowerMode(QQi(Fraction(1, 3), Fraction(2, 3))),
+                ConstFlow(QQi(Fraction(2, 7))))
+    gs = GlobalSolution((part,), 0.1, 40)
+    for n in range(41):
+        assert repr(gs.evaluate(n)) == repr(_part_sum(gs, n))
+
+
+@pytest.fixture(scope="module")
+def exact_solutions():
+    # shared by every example, so each one starts from the last one's cursor
+    return {name: run_pipeline(case).global_solution
+            for name, case in EXACT_CASES.items()}
+
+
+@given(name=st.sampled_from(sorted(EXACT_CASES)), data=st.data())
+def test_stepped_evaluation_in_shuffled_order(exact_solutions, name, data):
+    gs = exact_solutions[name]
+    order = data.draw(st.permutations(range(EXACT_CASES[name].window() + 1)))
+    for n in order:
+        assert gs.evaluate(n) == _part_sum(gs, n)
+
+
+def test_form_switch_does_not_step_from_the_other_form():
+    gs = run_pipeline(EXACT_CASES["illustration"]).global_solution
+    for n in range(10):
+        gs.evaluate(n, "exp")
+        assert gs.evaluate(n + 1) == _part_sum(gs, n + 1)
+        assert repr(gs.evaluate(n + 2, "exp")) \
+            == repr(_part_sum(gs, n + 2, "exp"))
+
+
+def test_replaced_and_fitted_solutions_start_without_a_cursor():
+    case = EXACT_CASES["illustration"]
+    col = collect_Y(perturb_expand(case, 1))
+    gs = assemble_global(col, solve_renorm(form_renorm_system(col)),
+                         case.window())
+    for n in range(6):
+        gs.evaluate(n)
+    fitted = apply_boundary(gs, [(0, case.init0), (1, case.init1)])
+    assert fitted.evaluate(6) == _part_sum(fitted, 6)
+    assert fitted.evaluate(0) == QQi(case.init0)
+    assert fitted.evaluate(1) == QQi(case.init1)
+    doubled = replace(gs, parts=tuple(
+        replace(p, flow=p.flow.scaled(2)) for p in gs.parts))
+    assert doubled.evaluate(6) == 2 * gs.evaluate(6)
+    # the cursor is no field: a used solution equals a fresh copy
+    fresh = replace(doubled)
+    assert fresh == doubled and hash(fresh) == hash(doubled)
