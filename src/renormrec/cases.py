@@ -27,6 +27,7 @@ import cmath
 import collections.abc
 import functools
 import math
+import sys
 import typing
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -41,6 +42,8 @@ from .seqalg import ExpBinomSeq, const_seq
 
 #: divergence guard for iterated oracles
 DIVERGENCE_LIMIT = 1e6
+#: decimal exponent of the largest float
+_FLOAT_DECADES = math.log10(sys.float_info.max)
 
 
 def _exact(value):
@@ -445,6 +448,16 @@ class BoundaryLayer(Case):
         n_max = self.N if n_max is None else n_max
         slow, fast = self.exact_roots()
         alpha, beta, N = float(self.alpha), float(self.beta), self.N
+        # with |slow| > 1, y(n) is about slow^n up to the far boundary and
+        # slow^N fast^(n - N) past it; check that before forming powers
+        top = max(N, n_max)
+        decades = (N * math.log10(abs(slow))
+                   + (top - N) * math.log10(abs(fast)))
+        if decades > _FLOAT_DECADES:
+            raise OverflowError(
+                "the two-point solution exceeds the float range: with "
+                f"|slow root| = {abs(slow):.4g} it reaches about "
+                f"1e{decades:.0f} by n = {top}")
         # y(n) = cs * slow^n + d * fast^(n-N)
         A = np.array([[1.0, complex(fast) ** (-N)],
                       [complex(slow) ** N, 1.0]], dtype=complex)

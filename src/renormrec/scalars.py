@@ -3,9 +3,10 @@
 Two kinds of scalars coexist:
 
 * :class:`QQi` -- a complex number with exact rational real and imaginary
-  parts (a Gaussian rational).  All algebra on these is exact, so equality
-  is decidable with no tolerance and the sequence algebra built on top
-  admits zero-tolerance tests.
+  parts (a Gaussian rational), held as one reduced integer triple
+  ``(a + b i)/d``.  All algebra on these is exact, so equality is decidable
+  with no tolerance and the sequence algebra built on top admits
+  zero-tolerance tests.
 * plain ``complex`` -- double precision, used whenever a quantity is
   irrational (``exp(i*theta)`` bases, measured trajectories, ...).
 
@@ -16,7 +17,9 @@ lifted to :class:`QQi`.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 #: absolute tolerance for float-scalar equality
@@ -25,56 +28,72 @@ DEFAULT_TOL = 1e-12
 BASE_TOL = 1e-9
 
 _RATIONAL = (int, Fraction)
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class QQi:
-    """Gaussian rational: ``re + im*i`` with ``re``, ``im`` exact fractions."""
+    """Gaussian rational ``(a + b*i)/d`` held as three integers.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so two
+    values are equal exactly when their triples are.  ``re`` and ``im``
+    give the parts as reduced fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        self.a = re.numerator * (d // p)
+        self.b = im.numerator * (d // q)
+        self.d = d
 
     # -- basic properties ------------------------------------------------
 
     @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _q(self.a, -self.b, self.d)
 
     def norm2(self) -> Fraction:
         """Exact squared modulus ``re**2 + im**2``."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a + b * b, d * d)
 
     # -- conversions -----------------------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as Fraction.__float__ is
+        return complex(self.a / self.d, self.b / self.d)
 
     def __float__(self) -> float:
-        if self.im != 0:
+        if self.b:
             raise ValueError(f"{self!r} has a nonzero imaginary part")
-        return float(self.re)
+        return self.a / self.d
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> Optional["QQi"]:
-        if isinstance(other, QQi):
-            return other
-        if isinstance(other, _RATIONAL):
-            return QQi(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is not None:
-            return QQi(self.re + o.re, self.im + o.im)
+            return _add(self.a, self.b, self.d, *o)
         if isinstance(other, (float, complex)):
             return complex(self) + complex(other)
         return NotImplemented
@@ -82,31 +101,29 @@ class QQi:
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _q(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is not None:
-            return QQi(self.re - o.re, self.im - o.im)
+            c, e, f = o
+            return _add(self.a, self.b, self.d, -c, -e, f)
         if isinstance(other, (float, complex)):
             return complex(self) - complex(other)
         return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is not None:
-            return QQi(o.re - self.re, o.im - self.im)
+            return _add(*o, -self.a, -self.b, self.d)
         if isinstance(other, (float, complex)):
             return complex(other) - complex(self)
         return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is not None:
-            if not (self.im or o.im):
-                return QQi(self.re * o.re)
-            return QQi(self.re * o.re - self.im * o.im,
-                       self.re * o.im + self.im * o.re)
+            return _mul(self.a, self.b, self.d, *o)
         if isinstance(other, (float, complex)):
             return complex(self) * complex(other)
         return NotImplemented
@@ -114,23 +131,20 @@ class QQi:
     __rmul__ = __mul__
 
     def inverse(self) -> "QQi":
-        n = self.norm2()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi(self.re / n, -self.im / n)
+        return _q(*_inverse(self.a, self.b, self.d))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is not None:
-            return self * o.inverse()
+            return _mul(self.a, self.b, self.d, *_inverse(*o))
         if isinstance(other, (float, complex)):
             return complex(self) / complex(other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is not None:
-            return o * self.inverse()
+            return _mul(*o, *_inverse(self.a, self.b, self.d))
         if isinstance(other, (float, complex)):
             return complex(other) / complex(self)
         return NotImplemented
@@ -140,29 +154,41 @@ class QQi:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = QQi(1)
-        base = self
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _q(a ** n, 0, d ** n)
+        # (a + b i)^n by squaring in the Gaussian integers, over d^n.  A
+        # prime p | d does not divide both a and b, so it divides both parts
+        # of the power only if p = 2 and a, b are both odd, i.e. (1 + i)
+        # divides a + b i once; then (1 + i)^n leaves the factor 2^(n//2).
+        k = n // 2 if a & b & 1 and not d & 1 else 0
+        den = d ** n >> k
+        x, y = 1, 0
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                x, y = x * a - y * b, x * b + y * a
             n >>= 1
-        return result
+            if n:
+                a, b = (a + b) * (a - b), 2 * a * b
+        return _q(x >> k, y >> k, den)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is not None:
-            return self.re == o.re and self.im == o.im
+            return (self.a, self.b, self.d) == o
         if isinstance(other, (float, complex)):
             return complex(self) == complex(other)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a real value hashes as the equal Fraction (and int); a complex one
+        # as the pair of its parts
+        h = _ratio_hash(self.a, self.d)
+        if not self.b:
+            return h
+        return hash((h, _ratio_hash(self.b, self.d)))
 
     def __abs__(self) -> float:
         return abs(complex(self))
@@ -171,12 +197,142 @@ class QQi:
         return f"QQi({self.re}, {self.im})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+_new = object.__new__
+
+
+def _q(a: int, b: int, d: int) -> QQi:
+    """The QQi with the triple ``(a, b, d)``, which must be canonical."""
+    z = _new(QQi)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
+
+
+def _parts(x) -> Optional[tuple]:
+    """The triple of an exact scalar, or None."""
+    if isinstance(x, QQi):
+        return x.a, x.b, x.d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _add(a, b, d, c, e, f) -> QQi:
+    """``(a + b i)/d + (c + e i)/f``, reduced as ``Fraction._add`` is."""
+    g = gcd(d, f)
+    if g == 1:
+        # a prime of d divides both parts only if it divides a and b
+        return _q(a * f + c * d, b * f + e * d, d * f)
+    s = d // g
+    t = f // g
+    x = a * t + c * s
+    y = b * t + e * s
+    # s and t are coprime, and no prime of s or t divides both x and y, so
+    # gcd(x, y, g) is all that cancels
+    h = gcd(g, x)
+    if h != 1:
+        h = gcd(h, y)
+        if h != 1:
+            return _q(x // h, y // h, s * (f // h))
+    return _q(x, y, s * f)
+
+
+def _mul(a, b, d, c, e, f) -> QQi:
+    """``(a + b i)/d * (c + e i)/f``.  Every gcd pairs a number of the
+    larger operand with one of the smaller, as ``Fraction._mul`` does."""
+    if not e:
+        if not b:
+            g = gcd(a, f)
+            if g != 1:
+                a //= g
+                f //= g
+            g = gcd(c, d)
+            if g != 1:
+                c //= g
+                d //= g
+            return _q(a * c, 0, d * f)
+        return _scale(a, b, d, c, f)
+    if not b:
+        return _scale(c, e, f, a, d)
+    x = a * c - b * e
+    y = a * e + b * c
+    # A prime p | d divides neither a nor b together; if p^k divides both
+    # parts of (a + b i)(c + e i) and d, then p^k | c^2 + e^2 (a Gaussian
+    # prime over p must divide c + e i).  So the common factor of x, y and
+    # d f divides gcd(d, c^2 + e^2) * f, and with the roles swapped
+    # gcd(f, a^2 + b^2) * d: take the one built from the smaller operand.
+    if d >= f:
+        m = gcd(d, c * c + e * e) * f
+    else:
+        m = gcd(f, a * a + b * b) * d
+    if m != 1:
+        g = gcd(m, x)
+        if g != 1:
+            g = gcd(g, y)
+            if g != 1:
+                return _q(x // g, y // g, d * f // g)
+    return _q(x, y, d * f)
+
+
+def _scale(a, b, d, c, f) -> QQi:
+    """``(a + b i)/d * c/f`` with ``b != 0``, cross-cancelled."""
+    g = gcd(c, d)
+    if g != 1:
+        c //= g
+        d //= g
+    g = gcd(gcd(a, f), b)
+    if g != 1:
+        a //= g
+        b //= g
+        f //= g
+    return _q(a * c, b * c, d * f)
+
+
+def _inverse(a, b, d) -> tuple:
+    """The triple of ``d/(a + b i)``."""
+    if not b:
+        if not a:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return (d, 0, a) if a > 0 else (-d, 0, -a)
+    # with g = gcd(a, b): d (a - b i)/(a^2 + b^2) = d (a' - b' i)/(g n'),
+    # where gcd(d, g) = 1 and only gcd(d, n') cancels
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    n = a * a + b * b
+    k = gcd(d, n)
+    if k != 1:
+        d //= k
+        n //= k
+    return d * a, -d * b, g * n
+
+
+def _ratio_hash(n: int, d: int) -> int:
+    """``hash(Fraction(n, d))`` for ``d > 0`` without reducing ``n/d``: the
+    numeric hash is ``n/d`` modulo ``sys.hash_info.modulus``, the same for
+    every ratio of one value as long as ``d`` is invertible."""
+    if d == 1:
+        return hash(n)
+    try:
+        dinv = pow(d, -1, _HASH_MODULUS)
+    except ValueError:
+        return hash(Fraction(n, d))
+    h = hash(hash(abs(n)) * dinv)
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 Scalar = Union[QQi, complex]
@@ -186,8 +342,10 @@ def as_scalar(x) -> Scalar:
     """Lift a number to the scalar tower (QQi if exact, complex otherwise)."""
     if isinstance(x, QQi):
         return x
-    if isinstance(x, _RATIONAL):
-        return QQi(x)
+    if isinstance(x, int):
+        return _q(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _q(x.numerator, 0, x.denominator)
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, float):
@@ -230,8 +388,10 @@ def same_base(a, b) -> bool:
 
 
 def scalar_is_zero(x, tol: float = DEFAULT_TOL) -> bool:
-    if is_exact(x):
-        return as_scalar(x).is_zero
+    if isinstance(x, QQi):
+        return not (x.a or x.b)
+    if isinstance(x, _RATIONAL):
+        return x == 0
     return abs(complex(x)) <= tol
 
 

@@ -212,6 +212,28 @@ def test_arithmetic_error_fails_cleanly(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("N,top", [(192, 194), (200, 202)])
+def test_boundary_layer_oracle_past_float_range_names_the_cause(N, top,
+                                                               tmp_path,
+                                                               capsys):
+    # both roots, -38.2 and -261.8, exceed 1 in modulus: y(N-1) is about
+    # 38.2^(N-1), and the oracle also looks two steps past N
+    out = tmp_path / "rep.json"
+    assert _run_config(tmp_path, {"a": "3", "b": "100", "N": N}) \
+        == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error [OverflowError]: the two-point solution "
+                          "exceeds the float range") and err.count("\n") == 1
+    assert f"by n = {top}" in err
+    assert not out.exists()
+
+
+def test_boundary_layer_just_inside_float_range_runs(tmp_path):
+    assert _run_config(tmp_path, {"a": "3", "b": "100", "N": 191}) == EXIT_OK
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert math.isfinite(report["sup_error"])
+
+
 def test_negative_window_is_rejected(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert run_cli("run", "--case", "illustration", "--window", "-1",
