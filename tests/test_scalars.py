@@ -9,6 +9,7 @@ the operands alone does not find."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -201,7 +202,6 @@ def test_hash_and_mixed_dict_keys():
 
 
 def test_hash_of_a_denominator_the_modulus_divides():
-    import sys
     p = sys.hash_info.modulus
     for value in (Fraction(1, p), Fraction(3, 2 * p), Fraction(-5, p * p)):
         assert hash(QQi(value)) == hash(value)
